@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "obs/manifest.hpp"
@@ -368,8 +369,9 @@ std::uint64_t wf_knn_leaf(const WfBenchData& data, std::size_t trees, int passes
 
 /// Pure blocked-descent kernel: leaf ids for the whole dataset, `passes`
 /// times, on a pre-trained forest. Unlike wf.predict_batch this skips vote
-/// aggregation, so the number isolates kernels::descend_block (the SIMD
-/// dispatch target). events = rows x trees tree-walk units.
+/// aggregation, so the number isolates kernels::descend_block. The name
+/// predates the kernel going scalar-only; it stays so BENCH_* files remain
+/// comparable. events = rows x trees tree-walk units.
 std::uint64_t wf_descent_simd(const wf::RandomForest& forest, const WfBenchData& data,
                               int passes) {
   std::vector<std::uint32_t> leaves(data.x.rows() * forest.tree_count());
@@ -455,12 +457,12 @@ std::uint64_t grid_table2(std::size_t sites, std::size_t samples, std::size_t fo
   for (const exp::JobResult& r : results) events += r.sim_events;
   const wf::Dataset data = exp::to_dataset(results).sanitized_by_download_size(0.75);
 
-  defenses::CombinedDefense combined;
+  const auto combined = defenses::make_policy_defense("combined");
   struct Variant {
     const char* name;
     const defenses::TraceDefense* defense;
   };
-  const Variant variants[] = {{"Original", nullptr}, {"Combined", &combined}};
+  const Variant variants[] = {{"Original", nullptr}, {"Combined", combined.get()}};
   wf::KFingerprint::Config kfp_cfg;
   kfp_cfg.forest.num_trees = trees;
   double acc = 0;

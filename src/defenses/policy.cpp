@@ -64,7 +64,7 @@ void ChainPolicy::finish(double /*end_time*/, std::vector<PacketOut>& out) {
 // ------------------------------------------------------------- PolicyDefense
 
 wf::Trace PolicyDefense::apply(const wf::Trace& trace, Rng& rng) const {
-  const std::unique_ptr<Policy> policy = factory_();
+  const std::unique_ptr<Policy> policy = info_.factory();
   return run_policy(*policy, trace, rng);
 }
 
@@ -120,8 +120,7 @@ std::unique_ptr<Policy> make_policy(std::string_view name) {
 }
 
 std::unique_ptr<TraceDefense> make_policy_defense(std::string_view name) {
-  const PolicyInfo& info = find_policy(name);
-  return std::make_unique<PolicyDefense>(info.name, info.meta, info.factory);
+  return std::make_unique<PolicyDefense>(find_policy(name));
 }
 
 }  // namespace stob::defenses

@@ -89,7 +89,7 @@ class Policy {
 wf::Trace run_policy(Policy& policy, const wf::Trace& in, Rng& rng);
 
 /// Chain of policies: stage k+1 consumes the normalized output of stage k
-/// (exactly how CombinedDefense = delay(split(trace)) composes). Buffers the
+/// (exactly how the zoo's combined = delay(split(trace)) composes). Buffers the
 /// stream and materializes between stages, so timestamp reordering from an
 /// earlier stage is resolved before the next stage sees the packets.
 class ChainPolicy final : public Policy {
@@ -108,12 +108,11 @@ class ChainPolicy final : public Policy {
   Rng* rng_ = nullptr;
 };
 
-/// Adapter: a Policy factory as a TraceDefense, so policy-backed defenses
-/// ride the existing experiment-grid defense axis, zoo benches and overhead
-/// accounting unchanged. apply() builds a fresh policy per call — the grid
-/// shares one TraceDefense across worker threads, and policies are stateful.
-class PolicyDefense final : public TraceDefense {
- public:
+// ------------------------------------------------------------- registry
+
+/// Named entry of the policy zoo: Table 1 metadata plus a factory of fresh
+/// streaming instances.
+struct PolicyInfo {
   using Factory = std::function<std::unique_ptr<Policy>()>;
 
   struct Meta {
@@ -122,36 +121,31 @@ class PolicyDefense final : public TraceDefense {
     Manipulations manipulations;
   };
 
-  PolicyDefense(std::string name, Meta meta, Factory factory)
-      : name_(std::move(name)), meta_(std::move(meta)), factory_(std::move(factory)) {}
+  std::string name;
+  Meta meta;
+  Factory factory;
+};
+
+/// Adapter: a zoo policy as a TraceDefense, so policy-backed defenses ride
+/// the experiment-grid defense axis, zoo benches and overhead accounting.
+/// apply() builds a fresh policy per call — the grid shares one
+/// TraceDefense across worker threads, and policies are stateful.
+class PolicyDefense final : public TraceDefense {
+ public:
+  explicit PolicyDefense(PolicyInfo info) : info_(std::move(info)) {}
 
   wf::Trace apply(const wf::Trace& trace, Rng& rng) const override;
-  std::string name() const override { return name_; }
-  std::string target() const override { return meta_.target; }
-  std::string strategy() const override { return meta_.strategy; }
-  Manipulations manipulations() const override { return meta_.manipulations; }
-
-  /// Build a fresh streaming instance (for stack mounting or custom drivers).
-  std::unique_ptr<Policy> make() const { return factory_(); }
+  std::string name() const override { return info_.name; }
+  std::string target() const override { return info_.meta.target; }
+  std::string strategy() const override { return info_.meta.strategy; }
+  Manipulations manipulations() const override { return info_.meta.manipulations; }
 
  private:
-  std::string name_;
-  Meta meta_;
-  Factory factory_;
+  PolicyInfo info_;
 };
 
-// ------------------------------------------------------------- registry
-
-/// Named entry of the policy zoo.
-struct PolicyInfo {
-  std::string name;
-  PolicyDefense::Meta meta;
-  PolicyDefense::Factory factory;
-};
-
-/// All registered streaming policies: the migrated §3 baselines (split,
-/// delay, combined) plus the in-stack ports of RegulaTor and full
-/// adaptive-padding WTF-PAD.
+/// All registered streaming policies: the §3 primitives (split, delay,
+/// combined) plus the full RegulaTor and adaptive-padding WTF-PAD ports.
 const std::vector<PolicyInfo>& policy_zoo();
 
 /// Fresh streaming policy by name; throws std::invalid_argument on unknown

@@ -4,6 +4,16 @@
 
 namespace stob::defenses {
 
+namespace {
+
+// The mount's vantage, in trace coordinates (+1 = client->server). Its one
+// deployment is the server's connection (PageLoadOptions::server_conn), so
+// every segment it sees is a download; the server-side defaults of split
+// and delay (incoming_only) act on exactly these packets.
+constexpr int kSegmentDirection = -1;
+
+}  // namespace
+
 void SegmentMount::on_flow_start(const net::FlowKey& /*flow*/) {
   if (!streaming_) {
     inner_->begin(rng_);
@@ -31,7 +41,7 @@ core::SegmentDecision SegmentMount::on_segment(const core::SegmentContext& ctx) 
   // Present the first wire packet of the segment as the policy's event.
   PacketEvent ev;
   ev.time = ctx.cca_departure.sec();
-  ev.direction = +1;  // sender-side vantage: everything we emit is outgoing
+  ev.direction = kSegmentDirection;
   ev.size = std::min<std::int64_t>(ctx.mss.count(), ctx.cca_segment.count());
   last_event_time_ = ev.time;
 

@@ -9,8 +9,9 @@
 // never-more-aggressive clamp.
 //
 // Mapping: each segment the transport is about to send is presented to the
-// streaming policy as one PacketEvent (time = the CCA's departure, size =
-// the first wire packet of the segment). The first non-dummy emission
+// streaming policy as one server->client PacketEvent (time = the CCA's
+// departure, size = the first wire packet of the segment) — the mount is
+// deployed on the server's connection. The first non-dummy emission
 // carries the decision — its extra delay shifts the departure, its size
 // caps the wire MSS. Dummy emissions cannot be originated at this hook:
 // the transport owns sequence space, so injecting payloadless packets here

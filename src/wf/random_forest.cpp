@@ -71,21 +71,11 @@ void RandomForest::flatten() {
   flat_.tree_base.push_back(static_cast<std::uint32_t>(flat_.nodes.size()));
 }
 
-std::uint32_t RandomForest::descend_flat(std::uint32_t root, const double* x) const {
-  const FlatNode* nodes = flat_.nodes.data();
-  std::uint32_t cur = root;
-  while (nodes[cur].feature >= 0) {
-    const FlatNode& nd = nodes[cur];
-    cur = nd.kid[!(x[static_cast<std::size_t>(nd.feature)] <= nd.threshold)];
-  }
-  return cur;
-}
-
 int RandomForest::predict(std::span<const double> x) const {
   std::vector<int> votes(static_cast<std::size_t>(num_classes_), 0);
   const std::size_t num_trees = trees_.size();
   for (std::size_t t = 0; t < num_trees; ++t) {
-    const std::uint32_t leaf = descend_flat(flat_.tree_base[t], x.data());
+    const std::uint32_t leaf = kernels::descend_one(flat_.nodes.data(), flat_.tree_base[t], x.data());
     votes[flat_.nodes[leaf].kid[1]] += 1;
   }
   return static_cast<int>(std::max_element(votes.begin(), votes.end()) - votes.begin());
@@ -96,7 +86,7 @@ std::vector<double> RandomForest::predict_proba(std::span<const double> x) const
   std::vector<double> acc(classes, 0.0);
   const std::size_t num_trees = trees_.size();
   for (std::size_t t = 0; t < num_trees; ++t) {
-    const std::uint32_t leaf = descend_flat(flat_.tree_base[t], x.data());
+    const std::uint32_t leaf = kernels::descend_one(flat_.nodes.data(), flat_.tree_base[t], x.data());
     const double* dist = flat_.dists.data() + flat_.nodes[leaf].kid[0];
     for (std::size_t c = 0; c < classes; ++c) acc[c] += dist[c];
   }
@@ -109,7 +99,7 @@ std::vector<std::uint32_t> RandomForest::leaf_vector(std::span<const double> x) 
   const std::size_t num_trees = trees_.size();
   leaves.reserve(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) {
-    leaves.push_back(descend_flat(flat_.tree_base[t], x.data()) - flat_.tree_base[t]);
+    leaves.push_back(kernels::descend_one(flat_.nodes.data(), flat_.tree_base[t], x.data()) - flat_.tree_base[t]);
   }
   return leaves;
 }

@@ -9,8 +9,8 @@
 // in forest_layout.hpp), which the batch kernels (predict_batch /
 // predict_proba_batch / leaf_batch) walk over blocks of samples: tree
 // nodes stay cache-hot across a block instead of being re-fetched per
-// sample. Descent itself goes through kernels::descend_block — the
-// runtime-dispatched scalar/AVX2 kernel of simd_kernels.cpp.
+// sample. Descent itself goes through kernels::descend_block (blocks) and
+// kernels::descend_one (single samples) of simd_kernels.hpp.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +87,6 @@ class RandomForest {
   };
 
   void flatten();
-  std::uint32_t descend_flat(std::uint32_t root, const double* x) const;
 
   Config cfg_;
   int num_classes_ = 0;

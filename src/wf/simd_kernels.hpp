@@ -1,11 +1,12 @@
-// Dispatched hot-loop kernels of the WF attack engine: blocked forest
-// descent, leaf-agreement counting, and the vectorizable pieces of k-FP
-// feature extraction.
+// Hot-loop kernels of the WF attack engine: blocked forest descent,
+// leaf-agreement counting, and the vectorizable pieces of k-FP feature
+// extraction.
 //
-// Every kernel has a `_scalar` variant (the reference path, always
-// compiled, byte-for-byte the pre-SIMD engine) and an undecorated entry
-// point that dispatches on simd::active_level(). All SIMD variants are
-// *exact*: they vectorize only comparisons, integer-valued accumulation
+// Every dispatched kernel has a `_scalar` variant (the reference path,
+// always compiled, byte-for-byte the pre-SIMD engine) and an undecorated
+// entry point that dispatches on simd::active_level(). Forest descent has
+// no vector variant: a dispatched kernel that does not beat scalar is
+// removed. All SIMD variants are *exact*: they vectorize only comparisons, integer-valued accumulation
 // (counts and 0/1 sums, exact in any order below 2^53) and independent
 // subtractions, so scalar and dispatched results are bit-identical — the
 // parity suite asserts equality, never closeness. Float reductions whose
@@ -22,16 +23,24 @@ namespace stob::wf::kernels {
 
 // ------------------------------------------------------- forest descent
 //
-// Walk one tree (rooted at nodes[root]) for m samples stored row-major at
-// x + r*stride, leaving the absolute leaf index of sample r in leaves[r].
-// The scalar variant keeps 4 lanes in flight so dependent node loads
-// overlap; the AVX2 variant runs 8 lanes with gathered node fields and
-// blend-selected children. NaN features descend to kid[1] in both (the
-// scalar `!(x <= thr)` and the ordered _CMP_LE_OQ compare agree).
+// Not dispatched: scalar is the fastest descent measured (an 8-lane AVX2
+// gather/blend variant lost to it, see DESIGN.md §17). NaN features descend
+// to kid[1] (`!(x <= thr)`).
 
-void descend_block_scalar(const FlatNode* nodes, std::uint32_t root, const double* x,
-                          std::size_t stride, std::size_t m, std::uint32_t* leaves);
+/// Walk one tree (rooted at nodes[root]) for one sample; returns the
+/// absolute leaf index.
+inline std::uint32_t descend_one(const FlatNode* nodes, std::uint32_t root, const double* x) {
+  std::uint32_t cur = root;
+  while (nodes[cur].feature >= 0) {
+    const FlatNode& nd = nodes[cur];
+    cur = nd.kid[!(x[static_cast<std::size_t>(nd.feature)] <= nd.threshold)];
+  }
+  return cur;
+}
 
+/// descend_one for m samples stored row-major at x + r*stride, leaving the
+/// absolute leaf index of sample r in leaves[r]. Keeps 4 lanes in flight so
+/// dependent node loads overlap.
 void descend_block(const FlatNode* nodes, std::uint32_t root, const double* x,
                    std::size_t stride, std::size_t m, std::uint32_t* leaves);
 

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
@@ -95,14 +96,14 @@ ProcOptions fork_opts(std::size_t workers) {
 /// 2 CCAs = 8 cells, with every optional sink armed so payloads carry
 /// metrics, captured events and invariant verdicts.
 struct CacheGrid {
-  defenses::SplitDefense split;
+  std::unique_ptr<defenses::TraceDefense> split = defenses::make_policy_defense("split");
   ExperimentGrid grid;
   RunOptions opts;
 
   CacheGrid() {
     grid.sites = tiny_sites(2);
     grid.samples = 1;
-    grid.defenses = {{"none", nullptr}, {"split", &split}};
+    grid.defenses = {{"none", nullptr}, {"split", split.get()}};
     grid.ccas = {"cubic", "bbr"};
     grid.base_seed = 20260808;
     opts.jobs = 2;

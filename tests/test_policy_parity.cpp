@@ -5,10 +5,11 @@
 // baseline_policies.hpp) through the run_policy driver. The migration gate
 // is byte-identity: this file pins the legacy transform bodies (copied
 // verbatim from the pre-migration trace_defense.cpp) as reference
-// implementations and asserts the migrated path produces the *same trace,
-// bit for bit*, across seeds, trace shapes, and Rng interleavings — and
-// that the experiment grid built on top of them stays byte-identical at
-// any --jobs value.
+// implementations and asserts the stream policies — the policy-zoo entries
+// at their defaults and directly constructed ones at non-default configs —
+// produce the *same trace, bit for bit*, across seeds, trace shapes, and
+// Rng interleavings — and that the experiment grid built on top of them
+// stays byte-identical at any --jobs value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "defenses/policy.hpp"
 #include "defenses/regulator.hpp"
 #include "defenses/stack_mount.hpp"
-#include "defenses/trace_defense.hpp"
 #include "defenses/wtfpad.hpp"
 #include "exp/experiment.hpp"
 #include "workload/page_load.hpp"
@@ -32,7 +32,7 @@ namespace {
 
 // ------------------------------------------------- legacy reference bodies
 
-wf::Trace legacy_split(const wf::Trace& trace, const SplitDefense::Config& cfg) {
+wf::Trace legacy_split(const wf::Trace& trace, const SplitStreamPolicy::Config& cfg) {
   wf::Trace out;
   for (const wf::PacketRecord& p : trace.packets()) {
     const bool in_scope = !cfg.incoming_only || p.direction < 0;
@@ -51,7 +51,7 @@ wf::Trace legacy_split(const wf::Trace& trace, const SplitDefense::Config& cfg) 
   return out;
 }
 
-wf::Trace legacy_delay(const wf::Trace& trace, const DelayDefense::Config& cfg, Rng& rng) {
+wf::Trace legacy_delay(const wf::Trace& trace, const DelayStreamPolicy::Config& cfg, Rng& rng) {
   wf::Trace out;
   const auto& pkts = trace.packets();
   double shift = 0.0;
@@ -70,8 +70,8 @@ wf::Trace legacy_delay(const wf::Trace& trace, const DelayDefense::Config& cfg, 
   return out;
 }
 
-wf::Trace legacy_combined(const wf::Trace& trace, const SplitDefense::Config& split,
-                          const DelayDefense::Config& delay, Rng& rng) {
+wf::Trace legacy_combined(const wf::Trace& trace, const SplitStreamPolicy::Config& split,
+                          const DelayStreamPolicy::Config& delay, Rng& rng) {
   return legacy_delay(legacy_split(trace, split), delay, rng);
 }
 
@@ -134,13 +134,14 @@ std::vector<wf::Trace> parity_corpus() {
 
 // ------------------------------------------------------------ parity gate
 
+// The zoo entries at their defaults reproduce the legacy transforms at
+// theirs.
 TEST(PolicyParity, SplitByteIdentical) {
-  const SplitDefense migrated;
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng rng(seed);
-      const wf::Trace got = migrated.apply(t, rng);
-      EXPECT_EQ(got, legacy_split(t, SplitDefense::Config{}));
+      const wf::Trace got = run_policy(*make_policy("split"), t, rng);
+      EXPECT_EQ(got, legacy_split(t, SplitStreamPolicy::Config{}));
       // The migrated split must consume exactly as much randomness as the
       // legacy transform did (none): the stream must stay in sync.
       Rng probe(seed);
@@ -150,13 +151,12 @@ TEST(PolicyParity, SplitByteIdentical) {
 }
 
 TEST(PolicyParity, DelayByteIdentical) {
-  const DelayDefense migrated;
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng legacy_rng(seed);
-      const wf::Trace want = legacy_delay(t, DelayDefense::Config{}, legacy_rng);
+      const wf::Trace want = legacy_delay(t, DelayStreamPolicy::Config{}, legacy_rng);
       Rng rng(seed);
-      const wf::Trace got = migrated.apply(t, rng);
+      const wf::Trace got = run_policy(*make_policy("delay"), t, rng);
       EXPECT_EQ(got, want);
       // Identical residual Rng state: draw-for-draw replication, not just
       // identical output.
@@ -166,47 +166,38 @@ TEST(PolicyParity, DelayByteIdentical) {
 }
 
 TEST(PolicyParity, CombinedByteIdentical) {
-  const CombinedDefense migrated;
   for (const wf::Trace& t : parity_corpus()) {
     for (std::uint64_t seed : {1ull, 99ull, 20251117ull}) {
       Rng legacy_rng(seed);
-      const wf::Trace want =
-          legacy_combined(t, SplitDefense::Config{}, DelayDefense::Config{}, legacy_rng);
+      const wf::Trace want = legacy_combined(t, SplitStreamPolicy::Config{},
+                                             DelayStreamPolicy::Config{}, legacy_rng);
       Rng rng(seed);
-      EXPECT_EQ(migrated.apply(t, rng), want);
+      EXPECT_EQ(run_policy(*make_policy("combined"), t, rng), want);
       EXPECT_EQ(rng.uniform(0.0, 1.0), legacy_rng.uniform(0.0, 1.0));
     }
   }
 }
 
 TEST(PolicyParity, NonDefaultConfigsStayIdentical) {
-  SplitDefense::Config scfg;
+  SplitStreamPolicy::Config scfg;
   scfg.threshold = 600;
   scfg.incoming_only = false;
-  DelayDefense::Config dcfg;
+  DelayStreamPolicy::Config dcfg;
   dcfg.lo = 0.5;
   dcfg.hi = 1.5;
   dcfg.incoming_only = false;
-  const SplitDefense split(scfg);
-  const DelayDefense delay(dcfg);
-  const CombinedDefense combined(scfg, dcfg);
   for (const wf::Trace& t : parity_corpus()) {
+    SplitStreamPolicy split(scfg);
+    DelayStreamPolicy delay(dcfg);
     Rng a(5), b(5);
-    EXPECT_EQ(split.apply(t, a), legacy_split(t, scfg));
-    EXPECT_EQ(delay.apply(t, a), legacy_delay(t, dcfg, b));
+    EXPECT_EQ(run_policy(split, t, a), legacy_split(t, scfg));
+    EXPECT_EQ(run_policy(delay, t, a), legacy_delay(t, dcfg, b));
+    std::vector<std::unique_ptr<Policy>> stages;
+    stages.push_back(std::make_unique<SplitStreamPolicy>(scfg));
+    stages.push_back(std::make_unique<DelayStreamPolicy>(dcfg));
+    ChainPolicy combined(std::move(stages));
     Rng c(5), d(5);
-    EXPECT_EQ(combined.apply(t, c), legacy_combined(t, scfg, dcfg, d));
-  }
-}
-
-// The registry's policy objects are the same machines the defenses wrap.
-TEST(PolicyParity, RegistryPoliciesMatchDefenses) {
-  for (const char* name : {"split", "delay", "combined"}) {
-    const auto defense = make_policy_defense(name);
-    const auto policy = make_policy(name);
-    const wf::Trace t = web_like_trace(3);
-    Rng a(7), b(7);
-    EXPECT_EQ(defense->apply(t, a), run_policy(*policy, t, b)) << name;
+    EXPECT_EQ(run_policy(combined, t, c), legacy_combined(t, scfg, dcfg, d));
   }
 }
 
@@ -269,6 +260,21 @@ TEST(PolicyParity, PolicyDefenseApplyIsStateless) {
 }
 
 // ------------------------------------------------------ in-stack mounting
+
+// The mount sits on the server's connection, so its segments are
+// downloads: a mounted split (incoming_only by default) must halve them.
+TEST(SegmentMount, SplitHalvesServerSegments) {
+  SegmentMount mount(std::make_unique<SplitStreamPolicy>(), /*seed=*/1);
+  mount.on_flow_start(net::FlowKey{});
+  core::SegmentContext ctx;
+  ctx.mss = Bytes(1448);
+  ctx.cca_segment = Bytes(64 * 1448);
+  ctx.cca_departure = TimePoint(2'000'000);
+  const core::SegmentDecision d = mount.on_segment(ctx);
+  EXPECT_EQ(d.wire_mss, Bytes(724));
+  EXPECT_EQ(d.segment, ctx.cca_segment);
+  EXPECT_EQ(d.departure, ctx.cca_departure);
+}
 
 TEST(SegmentMount, PageLoadCompletesUnderMountedRegulator) {
   const auto& sites = workload::nine_sites();

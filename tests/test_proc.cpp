@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "defenses/policy.hpp"
 #include "defenses/trace_defense.hpp"
 #include "exp/experiment.hpp"
 #include "exp/job_codec.hpp"
@@ -714,8 +715,8 @@ TEST(RunGridProc, ByteIdenticalToInProcessAtAnyWorkerCount) {
   ExperimentGrid grid;
   grid.sites = tiny_sites(2);
   grid.samples = 2;
-  defenses::SplitDefense split;
-  grid.defenses = {{"none", nullptr}, {"split", &split}};
+  const auto split = defenses::make_policy_defense("split");
+  grid.defenses = {{"none", nullptr}, {"split", split.get()}};
   grid.base_seed = 20260808;
 
   RunOptions opts;

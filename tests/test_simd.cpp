@@ -7,9 +7,11 @@
 // the scalar reference; on the forced-scalar CI leg (-DSTOB_SIMD=OFF or
 // STOB_SIMD=off) both sides resolve to the scalar path and the suite
 // degenerates to a self-consistency check, which is the intended behavior.
+// The 4-lane blocked forest descent has no vector variant; it is checked
+// against the per-row walk (kernels::descend_one).
 //
-// Also pins the FeatureMatrix alignment contract the descent kernel
-// depends on: 64-byte row starts and an 8-double-multiple stride.
+// Also pins the FeatureMatrix alignment contract: 64-byte row starts and
+// an 8-double-multiple stride.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,7 +66,7 @@ TEST(SimdKernels, DescendBlockParity) {
   std::vector<std::uint32_t> roots;
   for (int depth : {0, 1, 3, 6}) roots.push_back(build_tree(pool, rng, depth, features));
 
-  // Block sizes around the 8-lane AVX2 width, including a ragged tail.
+  // Block sizes around the 4-lane group width, including ragged tails.
   for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
                         std::size_t{9}, std::size_t{16}, std::size_t{23}}) {
     const std::size_t stride = 24;  // padded: stride > features
@@ -74,7 +76,9 @@ TEST(SimdKernels, DescendBlockParity) {
     if (m > 2) x[1 * stride + 3] = std::numeric_limits<double>::quiet_NaN();
     for (std::uint32_t root : roots) {
       std::vector<std::uint32_t> ref(m, 0), got(m, 1);
-      kernels::descend_block_scalar(pool.data(), root, x.data(), stride, m, ref.data());
+      for (std::size_t r = 0; r < m; ++r) {
+        ref[r] = kernels::descend_one(pool.data(), root, x.data() + r * stride);
+      }
       kernels::descend_block(pool.data(), root, x.data(), stride, m, got.data());
       for (std::size_t r = 0; r < m; ++r) {
         EXPECT_EQ(ref[r], got[r]) << "m=" << m << " root=" << root << " row=" << r;
@@ -85,7 +89,7 @@ TEST(SimdKernels, DescendBlockParity) {
 }
 
 TEST(SimdKernels, DescendThresholdTieParity) {
-  // x == threshold exactly: both paths must take the `<=` branch.
+  // x == threshold exactly: blocked and per-row walks take the `<=` branch.
   std::vector<FlatNode> pool(3);
   pool[0].feature = 0;
   pool[0].threshold = 1.25;  // exactly representable
@@ -93,12 +97,14 @@ TEST(SimdKernels, DescendThresholdTieParity) {
   pool[0].kid[1] = 2;
   pool[1].feature = -1;
   pool[2].feature = -1;
-  const double xs[] = {1.25, std::nextafter(1.25, 2.0), std::nextafter(1.25, 0.0)};
-  for (double v : xs) {
-    std::uint32_t ref = 9, got = 7;
-    kernels::descend_block_scalar(pool.data(), 0, &v, 1, 1, &ref);
-    kernels::descend_block(pool.data(), 0, &v, 1, 1, &got);
-    EXPECT_EQ(ref, got) << "x=" << v;
+  // One row per value (stride 1), four of them so the 4-lane group runs.
+  const double xs[] = {1.25, std::nextafter(1.25, 2.0), std::nextafter(1.25, 0.0), 1.25};
+  const std::uint32_t want[] = {1, 2, 1, 1};
+  std::uint32_t got[4] = {7, 7, 7, 7};
+  kernels::descend_block(pool.data(), 0, xs, 1, 4, got);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(kernels::descend_one(pool.data(), 0, &xs[r]), got[r]) << "x=" << xs[r];
+    EXPECT_EQ(want[r], got[r]) << "x=" << xs[r];
   }
 }
 
