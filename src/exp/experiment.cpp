@@ -508,6 +508,8 @@ std::uint64_t parse_byte_size(const std::string& flag, const std::string& value)
   return n * mult;
 }
 
+}  // namespace
+
 std::size_t parse_jobs(const std::string& flag, const std::string& value) {
   // Digits only: stoull would silently accept (and wrap) "-2", and "4x"
   // must not parse as 4.
@@ -526,8 +528,6 @@ std::size_t parse_jobs(const std::string& flag, const std::string& value) {
   }
   return static_cast<std::size_t>(n);
 }
-
-}  // namespace
 
 Cli parse_cli(int argc, char** argv, const std::vector<FlagSpec>& extra_flags) {
   Cli cli;

@@ -233,6 +233,12 @@ struct Cli {
   }
 };
 
+/// Parse a worker-count flag value (--jobs, --proc-workers, STOB_JOBS):
+/// digits only, so "-2" and "4x" are std::invalid_argument naming `flag`
+/// instead of wrapping or truncating. A driver that parses its own argv
+/// calls this so its --jobs fails the same way parse_cli's does.
+std::size_t parse_jobs(const std::string& flag, const std::string& value);
+
 /// A harness-specific flag parse_cli should accept in addition to the
 /// shared set, e.g. {"--pareto", true} or {"--smoke", false}.
 struct FlagSpec {

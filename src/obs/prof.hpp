@@ -10,7 +10,8 @@
 //  1. *Disabled is free.* Spans are opt-in via a thread-local slot, exactly
 //     like TraceRecorder / MetricsRegistry: with no Profiler installed a
 //     ProfSpan is one TLS pointer load and a branch at open and a branch at
-//     close (micro-benched beside the PR 1/2 hooks in bench/micro_bench).
+//     close (timed as layer.prof_disabled in bench/perf_suite, beside the
+//     packet and metrics hooks' layer.obs_disabled).
 //  2. *Deterministic identity.* Span ids are a pure function of the
 //     profiler's id domain (derived from the job index for per-job
 //     profilers) and an open-order sequence number — never wall-clock,
@@ -120,7 +121,7 @@ class Profiler {
 // ---------------------------------------------------------------- install
 
 namespace detail {
-extern thread_local Profiler* g_profiler;  // nullptr = profiling disabled
+extern constinit thread_local Profiler* g_profiler;  // nullptr = profiling disabled
 }  // namespace detail
 
 /// Profiler installed on the calling thread, or nullptr. The disabled fast

@@ -3,10 +3,11 @@
 //
 // This is deliberately a schema-specific reader, not a general JSON parser:
 // it understands exactly the "stob-bench-v1" layout our own emitter writes
-// (top-level git_rev/smoke, a flat "benchmarks" array of one-line objects,
-// and optionally a nested "baseline" snapshot, which it ignores). Parsing
-// stops at the "baseline" key so entries embedded in an old snapshot are
-// never double-counted. Synthetic ".speedup_vs_baseline" rows are skipped.
+// (top-level git_rev/smoke and a flat "benchmarks" array of one-line
+// objects). Snapshots written before perf_suite dropped --baseline also
+// carry a nested "baseline" snapshot and synthetic ".speedup_vs_baseline"
+// rows: parsing stops at the "baseline" key so embedded entries are never
+// double-counted, and the synthetic rows are skipped.
 //
 // bench/perf_report uses compare() + gate() to turn two snapshots into a
 // speedup table and a CI exit code; tests drive the same functions with

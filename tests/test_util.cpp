@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -581,6 +584,45 @@ TEST(BenchJson, NewBenchmarksAreInformationalNotGated) {
   EXPECT_TRUE(result.missing.empty());
   ASSERT_EQ(result.added.size(), 1u);
   EXPECT_EQ(result.added[0], "c");
+}
+
+TEST(BenchJson, CommittedSnapshotsLoad) {
+  // The perf gate reads the BENCH_*.json files committed at the repo root.
+  // Older ones embed a "baseline" snapshot and ".speedup_vs_baseline" rows;
+  // the reader must return exactly the outer run's real entries for each.
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(STOB_SNAPSHOT_DIR)) {
+    const std::string name = f.path().filename().string();
+    if (name.rfind("BENCH_", 0) == 0 && f.path().extension() == ".json") {
+      files.push_back(f.path());
+    }
+  }
+  ASSERT_FALSE(files.empty());
+  for (const std::filesystem::path& path : files) {
+    SCOPED_TRACE(path.string());
+    const bench::BenchSnapshot snap = bench::load_snapshot(path);
+    EXPECT_FALSE(snap.smoke);
+
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    const std::string outer = text.substr(0, text.find("\"baseline\":"));
+    auto occurrences = [&outer](const std::string& needle) {
+      std::size_t n = 0;
+      for (std::size_t at = outer.find(needle); at != std::string::npos;
+           at = outer.find(needle, at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    EXPECT_EQ(snap.entries.size(),
+              occurrences("{\"name\": ") - occurrences(".speedup_vs_baseline\""));
+
+    std::set<std::string> names;
+    for (const bench::BenchEntry& e : snap.entries) {
+      EXPECT_TRUE(names.insert(e.name).second) << "duplicate entry " << e.name;
+      EXPECT_EQ(e.name.find(".speedup_vs_baseline"), std::string::npos) << e.name;
+    }
+  }
 }
 
 // --------------------------------------------------------------- buffer pool
