@@ -115,12 +115,17 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
   return ::operator new(n, t);
 }
+// GCC pairs the inlined malloc above with these frees and warns
+// -Wmismatched-new-delete; the pairing is this file's own and is correct.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 

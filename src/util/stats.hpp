@@ -14,8 +14,13 @@ double mean(std::span<const double> xs);
 /// Sample variance (n-1 denominator); 0 for fewer than two samples.
 double variance(std::span<const double> xs);
 
+/// variance() around a mean the caller already has (mean(xs), bit for bit);
+/// callers that report both skip the second summation.
+double variance(std::span<const double> xs, double mean);
+
 /// Sample standard deviation.
 double stddev(std::span<const double> xs);
+double stddev(std::span<const double> xs, double mean);
 
 /// Linear-interpolated percentile, p in [0, 100]. Input need not be sorted.
 /// Convention (pinned by tests/test_util.cpp): empty input -> 0; p outside
@@ -25,9 +30,27 @@ double stddev(std::span<const double> xs);
 double percentile(std::span<const double> xs, double p);
 
 /// Same interpolation as percentile(), but the input must already be
-/// ascending — no copy, no sort. Callers that need several quantiles of
-/// one list sort once and reuse.
+/// ascending — no copy, no sort.
 double percentile_sorted(std::span<const double> xs, double p);
+
+/// Percentiles of an unsorted list by selection instead of sorting. Works
+/// in place on a span the caller owns (a scratch copy) and reorders it.
+/// A query places element `lo` with std::nth_element and takes element
+/// `hi` as the minimum of the part above it: the two values
+/// percentile_sorted() reads from a sorted copy, blended by the same
+/// expression, so the result is bit-identical. Each query leaves the span
+/// partitioned around its rank, and the next one selects only on the side
+/// it falls in: p50 then p75 partitions just the upper half again.
+class Selector {
+ public:
+  explicit Selector(std::span<double> xs) : xs_(xs), pivot_(xs.size()) {}
+
+  double percentile(double p);
+
+ private:
+  std::span<double> xs_;
+  std::size_t pivot_;  // rank xs_ is partitioned around; size() = none yet
+};
 
 double median(std::span<const double> xs);
 double min(std::span<const double> xs);

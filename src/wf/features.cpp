@@ -25,19 +25,21 @@ class FeatureBuilder {
   }
 
   /// Summary-statistic bundle over a value list. Mean and stddev accumulate
-  /// over the original order (their rounding depends on it); the order
-  /// statistics share one sort of the list instead of re-sorting per
-  /// quantile, which yields the same values.
+  /// over the original order (their rounding depends on it) and share one
+  /// mean; min and max come from one scan, median and p75 from selection
+  /// on a scratch copy (stats::Selector) — the values a sort would give.
   void add_stats(std::string_view prefix, std::span<const double> xs) {
-    add2(prefix, "_mean", stats::mean(xs));
-    add2(prefix, "_std", stats::stddev(xs));
-    thread_local std::vector<double> sorted;
-    sorted.assign(xs.begin(), xs.end());
-    std::sort(sorted.begin(), sorted.end());
-    add2(prefix, "_min", sorted.empty() ? 0.0 : sorted.front());
-    add2(prefix, "_max", sorted.empty() ? 0.0 : sorted.back());
-    add2(prefix, "_median", stats::percentile_sorted(sorted, 50.0));
-    add2(prefix, "_p75", stats::percentile_sorted(sorted, 75.0));
+    const double m = stats::mean(xs);
+    add2(prefix, "_mean", m);
+    add2(prefix, "_std", stats::stddev(xs, m));
+    const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
+    add2(prefix, "_min", xs.empty() ? 0.0 : *lo);
+    add2(prefix, "_max", xs.empty() ? 0.0 : *hi);
+    thread_local std::vector<double> scratch;
+    scratch.assign(xs.begin(), xs.end());
+    stats::Selector sel(scratch);
+    add2(prefix, "_median", sel.percentile(50.0));
+    add2(prefix, "_p75", sel.percentile(75.0));
   }
 
   void collect_names(std::vector<std::string>* names) { names_ = names; }
@@ -71,6 +73,7 @@ struct Scratch {
   std::vector<double> conc, conc30, conc30_alt;
   std::vector<double> bursts, in_bursts;
   std::vector<double> gap_all, gap_in, gap_out, gap_head;
+  std::vector<double> in_cum;  // incoming bytes so far, one per in_times entry
   std::vector<double> sorted_times, pps;
 };
 
@@ -79,6 +82,15 @@ struct Scratch {
 void fill_gaps(const std::vector<double>& ts, std::vector<double>& g) {
   g.resize(ts.size() > 1 ? ts.size() - 1 : 0);
   kernels::pair_diffs(ts.data(), ts.size(), g.data());
+}
+
+/// Ascending view of a time list: the list itself when already sorted (it
+/// always is for a normalized trace), else a sorted copy in `buf`.
+std::span<const double> ascending(const std::vector<double>& ts, std::vector<double>& buf) {
+  if (std::is_sorted(ts.begin(), ts.end())) return ts;
+  buf.assign(ts.begin(), ts.end());
+  std::sort(buf.begin(), buf.end());
+  return buf;
 }
 
 /// The single implementation walked both for names and values. The
@@ -96,18 +108,30 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   s.out_times.clear();
   s.in_sizes.clear();
   s.out_sizes.clear();
+  s.in_cum.clear();
   s.dir01.reserve(pkts.size());
   s.all_times.reserve(pkts.size());
+  // One pass feeds the per-direction lists and the byte totals (the
+  // Trace::*_bytes sums, same int64 additions in the same order).
+  std::int64_t bytes_total = 0, bytes_in = 0, bytes_out = 0;
+  double in_acc = 0.0;
   for (const PacketRecord& p : pkts) {
     s.all_times.push_back(p.time);
+    bytes_total += p.size;
     if (p.direction > 0) {
+      bytes_out += p.size;
       s.dir01.push_back(1.0);
       s.out_times.push_back(p.time);
       s.out_sizes.push_back(static_cast<double>(p.size));
     } else {
+      if (p.direction < 0) {
+        bytes_in += p.size;
+        in_acc += static_cast<double>(p.size);
+      }
       s.dir01.push_back(0.0);
       s.in_times.push_back(p.time);
       s.in_sizes.push_back(static_cast<double>(p.size));
+      s.in_cum.push_back(in_acc);
     }
   }
 
@@ -135,10 +159,12 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     (pkts[i].direction > 0 ? s.out_positions : s.in_positions).push_back(static_cast<double>(i));
   }
-  fb.add("order_out_mean", stats::mean(s.out_positions));
-  fb.add("order_out_std", stats::stddev(s.out_positions));
-  fb.add("order_in_mean", stats::mean(s.in_positions));
-  fb.add("order_in_std", stats::stddev(s.in_positions));
+  const double order_out_mean = stats::mean(s.out_positions);
+  fb.add("order_out_mean", order_out_mean);
+  fb.add("order_out_std", stats::stddev(s.out_positions, order_out_mean));
+  const double order_in_mean = stats::mean(s.in_positions);
+  fb.add("order_in_mean", order_in_mean);
+  fb.add("order_in_std", stats::stddev(s.in_positions, order_in_mean));
 
   // ---- 4. Concentration of outgoing packets (chunks of 20 packets).
   s.conc.clear();
@@ -210,26 +236,20 @@ void build(const Trace& trace, FeatureBuilder& fb) {
                     s.gap_all.begin() + std::min<std::size_t>(20, s.gap_all.size()));
   fb.add_stats("iat_first20", s.gap_head);
 
-  // ---- 7. Transmission time quantiles. One sort per list feeds all three
-  // quantiles (same sorted order, hence same interpolated values, as the
-  // sort-per-call stats::percentile).
+  // ---- 7. Transmission time quantiles, read off the time-ordered lists.
   fb.add("time_total", trace.duration());
-  const auto sort_times = [&s](const std::vector<double>& ts) {
-    s.sorted_times.assign(ts.begin(), ts.end());
-    std::sort(s.sorted_times.begin(), s.sorted_times.end());
+  const auto add_quartiles = [&fb](std::string_view q25, std::string_view q50,
+                                   std::string_view q75, std::span<const double> sorted) {
+    fb.add(q25, stats::percentile_sorted(sorted, 25.0));
+    fb.add(q50, stats::percentile_sorted(sorted, 50.0));
+    fb.add(q75, stats::percentile_sorted(sorted, 75.0));
   };
-  sort_times(s.all_times);
-  fb.add("time_q25_all", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_all", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_all", stats::percentile_sorted(s.sorted_times, 75.0));
-  sort_times(s.in_times);
-  fb.add("time_q25_in", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_in", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_in", stats::percentile_sorted(s.sorted_times, 75.0));
-  sort_times(s.out_times);
-  fb.add("time_q25_out", stats::percentile_sorted(s.sorted_times, 25.0));
-  fb.add("time_q50_out", stats::percentile_sorted(s.sorted_times, 50.0));
-  fb.add("time_q75_out", stats::percentile_sorted(s.sorted_times, 75.0));
+  add_quartiles("time_q25_all", "time_q50_all", "time_q75_all",
+                ascending(s.all_times, s.sorted_times));
+  add_quartiles("time_q25_in", "time_q50_in", "time_q75_in",
+                ascending(s.in_times, s.sorted_times));
+  add_quartiles("time_q25_out", "time_q50_out", "time_q75_out",
+                ascending(s.out_times, s.sorted_times));
 
   // ---- 8. Packets per second.
   s.pps.clear();
@@ -245,9 +265,9 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   fb.add("pps_sum", stats::sum(s.pps));
 
   // ---- 9. Volume (sizes are visible to the adversary even under TLS).
-  fb.add("bytes_total", static_cast<double>(trace.total_bytes()));
-  fb.add("bytes_in", static_cast<double>(trace.incoming_bytes()));
-  fb.add("bytes_out", static_cast<double>(trace.outgoing_bytes()));
+  fb.add("bytes_total", static_cast<double>(bytes_total));
+  fb.add("bytes_in", static_cast<double>(bytes_in));
+  fb.add("bytes_out", static_cast<double>(bytes_out));
   fb.add_stats("size_in", s.in_sizes);
   fb.add_stats("size_out", s.out_sizes);
 
@@ -261,16 +281,17 @@ void build(const Trace& trace, FeatureBuilder& fb) {
   fb.add("in_size_frac_full", in_full / in_n);
 
   // ---- 10. Cumulative byte milestones: time to reach fractions of the
-  // total download (robust early-trace features).
-  const double total_in_bytes = static_cast<double>(trace.incoming_bytes());
+  // total download (robust early-trace features). in_cum holds the
+  // running incoming byte sum at each in_times entry; the first entry to
+  // reach a threshold is always a direction < 0 packet (a direction-0 entry
+  // repeats the sum before it, which was already below the threshold).
+  const double total_in_bytes = static_cast<double>(bytes_in);
   for (double frac : {0.25, 0.5, 0.75}) {
     double reached = 0.0;
-    double acc = 0.0;
-    for (const PacketRecord& p : pkts) {
-      if (p.direction < 0) {
-        acc += static_cast<double>(p.size);
-        if (total_in_bytes > 0 && acc >= frac * total_in_bytes) {
-          reached = p.time;
+    if (total_in_bytes > 0) {
+      for (std::size_t i = 0; i < s.in_cum.size(); ++i) {
+        if (s.in_cum[i] >= frac * total_in_bytes) {
+          reached = s.in_times[i];
           break;
         }
       }

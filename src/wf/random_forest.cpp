@@ -72,7 +72,10 @@ void RandomForest::flatten() {
 }
 
 int RandomForest::predict(std::span<const double> x) const {
-  std::vector<int> votes(static_cast<std::size_t>(num_classes_), 0);
+  // Per-thread tally: the single-trace path runs once per query, and its
+  // capacity survives assign().
+  thread_local std::vector<int> votes;
+  votes.assign(static_cast<std::size_t>(num_classes_), 0);
   const std::size_t num_trees = trees_.size();
   for (std::size_t t = 0; t < num_trees; ++t) {
     const std::uint32_t leaf = kernels::descend_one(flat_.nodes.data(), flat_.tree_base[t], x.data());

@@ -11,8 +11,12 @@ namespace stob::wf {
 
 void Trace::normalize() {
   if (packets_.empty()) return;
-  std::stable_sort(packets_.begin(), packets_.end(),
-                   [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; });
+  const auto by_time = [](const PacketRecord& a, const PacketRecord& b) { return a.time < b.time; };
+  // Recorded and most defended traces arrive time-ordered; a stable sort
+  // of sorted input is the identity, so skip its buffer and merge passes.
+  if (!std::is_sorted(packets_.begin(), packets_.end(), by_time)) {
+    std::stable_sort(packets_.begin(), packets_.end(), by_time);
+  }
   const double t0 = packets_.front().time;
   for (PacketRecord& p : packets_) p.time -= t0;
 }

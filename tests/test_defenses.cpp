@@ -240,7 +240,9 @@ TEST(PadToConstant, SizesQuantised) {
   Rng rng(17);
   const wf::Trace defended = d.apply(web_like_trace(), rng);
   for (const auto& p : defended.packets()) {
-    if (p.direction < 0) EXPECT_EQ(p.size % 512, 0);
+    if (p.direction < 0) {
+      EXPECT_EQ(p.size % 512, 0);
+    }
   }
 }
 
@@ -361,7 +363,9 @@ TEST(RegulatorPolicy, PadsEveryDownloadToConstantSize) {
   Rng rng(5);
   const wf::Trace out = run_policy(policy, web_like_trace(), rng);
   for (const auto& p : out.packets()) {
-    if (p.direction < 0) EXPECT_EQ(p.size, 1514);
+    if (p.direction < 0) {
+      EXPECT_EQ(p.size, 1514);
+    }
   }
 }
 

@@ -244,7 +244,11 @@ TEST(Nic, TsoSplitsSuperSegment) {
   NicFixture f;
   auto p = make_packet(10 * 1448);
   p.tso_mss = 1448;
-  p.l4 = net::TcpHeader{.seq = 5000, .ack = 0, .flags = net::kTcpAck, .rwnd = 65535};
+  net::TcpHeader tcp;
+  tcp.seq = 5000;
+  tcp.flags = net::kTcpAck;
+  tcp.rwnd = 65535;
+  p.l4 = tcp;
   f.nic.transmit(std::move(p));
   f.sim.run();
   ASSERT_EQ(f.delivered.size(), 10u);

@@ -1,7 +1,10 @@
 // Unit tests for util: units, rng, stats, csv, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -342,6 +345,42 @@ TEST(Stats, IqrMatchesQuartileDifference) {
   EXPECT_DOUBLE_EQ(stats::iqr(xs),
                    stats::percentile(xs, 75.0) - stats::percentile(xs, 25.0));
   EXPECT_DOUBLE_EQ(stats::iqr({}), 0.0);
+}
+
+TEST(Stats, SelectorMatchesSortedPercentileBitForBit) {
+  // Every list length 0..70, continuous values and a 3-value alphabet
+  // (heavy ties); quantiles queried ascending on one Selector (each query
+  // reuses the previous partition) and in a scrambled order (selection
+  // below the previous rank as well as above it).
+  const std::vector<double> ps = {0.0, 25.0, 50.0, 75.0, 100.0};
+  const std::vector<double> scrambled = {75.0, 25.0, 100.0, 0.0, 50.0, 50.0};
+  Rng rng(31);
+  for (int ties = 0; ties < 2; ++ties) {
+    for (std::size_t n = 0; n <= 70; ++n) {
+      std::vector<double> xs;
+      for (std::size_t i = 0; i < n; ++i) {
+        xs.push_back(ties ? static_cast<double>(rng.uniform_int(0, 2)) : rng.uniform(-5, 5));
+      }
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      for (const auto* order : {&ps, &scrambled}) {
+        std::vector<double> scratch = xs;
+        stats::Selector sel(scratch);
+        for (double p : *order) {
+          const double want = stats::percentile_sorted(sorted, p);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(sel.percentile(p)),
+                    std::bit_cast<std::uint64_t>(want))
+              << "n=" << n << " p=" << p << " ties=" << ties;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(stats::percentile(xs, p)),
+                    std::bit_cast<std::uint64_t>(want));
+        }
+      }
+    }
+  }
+  std::vector<double> none;
+  EXPECT_EQ(stats::Selector(none).percentile(50.0), 0.0);
+  std::vector<double> two = {2.0, 1.0};
+  EXPECT_TRUE(std::isnan(stats::Selector(two).percentile(std::nan(""))));
 }
 
 // --------------------------------------------------------------------- csv

@@ -12,12 +12,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "defenses/baselines.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 #include "wf/feature_matrix.hpp"
 #include "wf/features.hpp"
 #include "wf/kfp.hpp"
 #include "wf/leaf_knn.hpp"
 #include "wf/random_forest.hpp"
+#include "wf/synth_traces.hpp"
 
 namespace stob::wf {
 namespace {
@@ -237,6 +240,53 @@ TEST(KfpParity, EmptyTraceRowsSurviveThePipeline) {
   clf.fit(x, d.labels());
   const std::vector<int> batch = clf.predict_batch(x);
   for (std::size_t r = 0; r < x.rows(); ++r) EXPECT_EQ(batch[r], clf.predict(x.row(r)));
+}
+
+// ------------------------------------------------ pinned feature values
+
+/// Traces covering every branch of the extractor: synthetic site loads,
+/// the same loads after each zoo defense, a never-normalized trace
+/// (unsorted times, direction-0 packets), all-equal sizes, and the short
+/// prefixes (0, 1, 2, 20 packets) where quantile ranks collapse.
+std::vector<Trace> feature_pin_traces() {
+  std::vector<Trace> traces;
+  for (int site = 0; site < 3; ++site) {
+    for (std::uint64_t instance = 0; instance < 2; ++instance) {
+      traces.push_back(synth_site_trace(0x5EEDull, site, instance));
+    }
+  }
+  const std::size_t undefended = traces.size();
+  const auto zoo = defenses::all_defenses();
+  for (std::size_t d = 0; d < zoo.size(); ++d) {
+    for (std::size_t i = 0; i < undefended; ++i) {
+      Rng rng(1000 * d + i);
+      traces.push_back(zoo[d]->apply(traces[i], rng));
+    }
+  }
+  Trace raw;
+  Rng rng(77);
+  for (int k = 0; k < 40; ++k) {
+    raw.add(rng.uniform(-1.0, 3.0), k % 7 == 0 ? 0 : (k % 3 == 0 ? +1 : -1),
+            rng.uniform_int(40, 1500));
+  }
+  traces.push_back(raw);
+  Trace flat = traces[0];
+  for (PacketRecord& p : flat.packets()) p.size = 1500;
+  traces.push_back(flat);
+  for (std::size_t n : {0, 1, 2, 20}) traces.push_back(traces[1].truncated(n));
+  return traces;
+}
+
+TEST(FeatureParity, PinnedDigest) {
+  // SHA-256 over the raw bits of every feature row. A rewrite of the
+  // extractor must reproduce these bytes exactly; recorded from the
+  // sort-based extractor the selection one replaced.
+  util::Sha256 h;
+  for (const Trace& t : feature_pin_traces()) {
+    const std::vector<double> row = kfp_features(t);
+    h.update(row.data(), row.size() * sizeof(double));
+  }
+  EXPECT_EQ(h.hex_digest(), "72ef578b705b2f2fd9684ad74a12a572ab72120663fcea78dbf24357b807f732");
 }
 
 // ----------------------------------------------- accuracy aggregation
