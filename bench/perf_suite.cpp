@@ -1,14 +1,15 @@
 // Reproducible performance-trajectory harness.
 //
 // Times the simulation core (event-loop microbenchmarks), the per-layer hot
-// paths of the simulated stack (layer.*: fq qdisc, NIC TSO split, the Stob
-// policy hook behind CcaGuard, the obs/metrics/profiler hooks), the WF
-// attack kernels, and end-to-end workloads (page load, table1-style grid at
-// --jobs {1,N}, chaos scenario), and emits a BENCH_*.json snapshot so every
-// PR extends a comparable perf trajectory. It is the project's only perf
-// harness and has *no external dependencies*: timing comes from
-// CLOCK_PROCESS_CPUTIME_ID (plus a steady_clock wall reading) and heap
-// churn from counting operator new in this translation unit.
+// paths of the simulated stack (layer.*: fq qdisc, NIC TSO split, the BBR
+// model, the Stob policy hook behind CcaGuard, the obs/metrics/profiler
+// hooks), the WF attack kernels, and end-to-end workloads (page load,
+// table1-style grid at --jobs {1,N}, chaos scenario), and emits a
+// BENCH_*.json snapshot so every change extends a comparable perf
+// trajectory. It is the project's only perf harness and has *no external
+// dependencies*: timing comes from CLOCK_PROCESS_CPUTIME_ID (plus a
+// steady_clock wall reading) and heap churn from counting operator new in
+// this translation unit.
 //
 // Usage:
 //   perf_suite [--smoke] [--out bench_out.json] [--filter substr] [--jobs N]
@@ -41,7 +42,7 @@
 // which stays comparable when other tenants preempt us on shared runners;
 // wall_ms is the same iteration's wall clock, reported for context. For
 // the layer.* entries one event is one hook call (one packet for the qdisc
-// and NIC entries), so 1e9 / events_per_sec is the per-call cost in ns.
+// and NIC entries, one ACK for tcp_bbr), so 1e9 / events_per_sec is the per-call cost in ns.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -79,6 +80,7 @@
 #include "sim/simulator.hpp"
 #include "stack/nic.hpp"
 #include "stack/qdisc.hpp"
+#include "tcp/bbr.hpp"
 #include "util/rng.hpp"
 #include "wf/corpus.hpp"
 #include "wf/features.hpp"
@@ -350,6 +352,30 @@ std::uint64_t layer_nic_tso(std::size_t n) {
     sim.run();
   }
   return wire;
+}
+
+/// BBR model upkeep per ACK: on_ack plus the cwnd() and pacing_rate()
+/// queries the connection makes after it, over one long ACK stream of a
+/// ~100 Gb/s flow (an ACK every 5 us, delivery rate and RTT jittered, so the
+/// bandwidth filter keeps popping and pushing). events = ACKs.
+std::uint64_t layer_tcp_bbr(std::size_t n) {
+  tcp::BbrCc cc(Bytes(1448));
+  tcp::AckEvent ev;
+  ev.newly_acked = Bytes(2 * 1448);
+  ev.srtt = Duration::micros(60);
+  std::uint64_t x = 0xBB2ull;
+  std::int64_t sink = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+    ev.now += Duration::micros(5);
+    ev.rtt_sample = Duration::micros(50 + static_cast<std::int64_t>(x % 30));
+    ev.delivery_rate = DataRate::mbps(90'000 + static_cast<std::int64_t>(x % 10'000));
+    ev.inflight = Bytes(static_cast<std::int64_t>(x % 1'000'000));
+    cc.on_ack(ev);
+    sink += cc.cwnd().count() + cc.pacing_rate().bits_per_sec();
+  }
+  do_not_optimize(sink);
+  return n;
 }
 
 /// The obs packet hook and a metrics counter with nothing installed: the
@@ -778,6 +804,7 @@ int main(int argc, char** argv) {
   } layers[] = {
       {"layer.fq_qdisc", layer_fq_qdisc, 1'000'000},
       {"layer.nic_tso", layer_nic_tso, 500'000},
+      {"layer.tcp_bbr", layer_tcp_bbr, 4'000'000},
       {"layer.obs_disabled", layer_obs_disabled, 50'000'000},
       {"layer.obs_record", layer_obs_record, 10'000'000},
       {"layer.metrics_observe", layer_metrics_observe, 4'000'000},

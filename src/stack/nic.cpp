@@ -96,7 +96,7 @@ void Nic::push_to_wire(net::Packet p) {
       offset += chunk;
       ring_bytes_ += wire.wire_size();
       pushed += wire.wire_size().count();
-      ring_per_flow_[wire.flow] += wire.wire_size().count();
+      spare_ring_.find_or_insert(ring_per_flow_, wire.flow)->second += wire.wire_size().count();
       ++wire_packets_sent_;
       obs::count("nic.wire_packets");
       obs::record_packet(obs::Layer::Nic, obs::Direction::Tx, obs::EventKind::Send, wire,
@@ -110,7 +110,7 @@ void Nic::push_to_wire(net::Packet p) {
     return;
   }
   ring_bytes_ += p.wire_size();
-  ring_per_flow_[p.flow] += p.wire_size().count();
+  spare_ring_.find_or_insert(ring_per_flow_, p.flow)->second += p.wire_size().count();
   ++wire_packets_sent_;
   obs::count("nic.wire_packets");
   obs::record_packet(obs::Layer::Nic, obs::Direction::Tx, obs::EventKind::Send, p, sim_.now());
@@ -125,7 +125,7 @@ void Nic::on_wire_complete(const net::Packet& p) {
   auto rit = ring_per_flow_.find(p.flow);
   if (rit != ring_per_flow_.end()) {
     rit->second -= size.count();
-    if (rit->second <= 0) ring_per_flow_.erase(rit);
+    if (rit->second <= 0) spare_ring_.park(ring_per_flow_, rit);
   }
   auto it = completions_.find(p.flow);
   if (it != completions_.end()) it->second(size);

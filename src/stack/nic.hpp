@@ -13,6 +13,7 @@
 #include "net/pipe.hpp"
 #include "sim/simulator.hpp"
 #include "stack/qdisc.hpp"
+#include "util/node_freelist.hpp"
 
 namespace stob::stack {
 
@@ -65,7 +66,9 @@ class Nic {
   Bytes ring_bytes_;  // bytes posted to the pipe, not yet serialised
   sim::EventId wakeup_;
   std::unordered_map<net::FlowKey, CompletionHandler, net::FlowKeyHash> completions_;
-  std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash> ring_per_flow_;
+  using RingBytes = std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash>;
+  RingBytes ring_per_flow_;  // flows with bytes in the ring only
+  util::NodeFreelist<RingBytes> spare_ring_;
   std::uint64_t tso_segments_split_ = 0;
   std::uint64_t wire_packets_sent_ = 0;
 };

@@ -65,7 +65,7 @@ void FifoQdisc::enqueue(net::Packet p) {
     return;
   }
   backlog_ += size;
-  per_flow_bytes_[p.flow] += size.count();
+  spare_bytes_.find_or_insert(per_flow_bytes_, p.flow)->second += size.count();
   note_enqueue(p, backlog_, capacity_);
   queue_.push_back(std::move(p));
 }
@@ -79,7 +79,7 @@ std::optional<net::Packet> FifoQdisc::dequeue(TimePoint now) {
   auto it = per_flow_bytes_.find(p.flow);
   if (it != per_flow_bytes_.end()) {
     it->second -= size.count();
-    if (it->second <= 0) per_flow_bytes_.erase(it);
+    if (it->second <= 0) spare_bytes_.park(per_flow_bytes_, it);
   }
   note_dequeue(p, now);
   return p;
@@ -109,7 +109,13 @@ void FqQdisc::enqueue(net::Packet p) {
   // the flow forever.
   if (p.not_before > p.enqueued_at + cfg_.horizon) p.not_before = p.enqueued_at + cfg_.horizon;
 
-  FlowQueue& fq = flows_[p.flow];
+  // A reused queue starts as a fresh one would (zero deficit, out of the
+  // round) but keeps its ring's capacity.
+  FlowQueue& fq = spare_.find_or_insert(flows_, p.flow, [](FlowQueue& q) {
+    q.bytes = 0;
+    q.deficit = 0;
+    q.in_round = false;
+  })->second;
   fq.bytes += size.count();
   backlog_ += size;
   if (!fq.in_round) {
@@ -127,7 +133,7 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
     auto it = flows_.find(key);
     if (it == flows_.end() || it->second.packets.empty()) {
       round_.pop_front();
-      if (it != flows_.end()) flows_.erase(it);
+      if (it != flows_.end()) spare_.park(flows_, it);
       continue;
     }
     FlowQueue& fq = it->second;
@@ -157,7 +163,7 @@ std::optional<net::Packet> FqQdisc::dequeue(TimePoint now) {
     backlog_ -= Bytes(size);
     if (fq.packets.empty()) {
       round_.pop_front();
-      flows_.erase(it);
+      spare_.park(flows_, it);
     }
     note_dequeue(p, now);
     return p;

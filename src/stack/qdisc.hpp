@@ -13,12 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
 #include "net/packet.hpp"
+#include "util/node_freelist.hpp"
 #include "util/ring_deque.hpp"
 #include "util/units.hpp"
 
@@ -66,7 +66,9 @@ class FifoQdisc final : public Qdisc {
   Bytes backlog_;
   std::uint64_t dropped_ = 0;
   util::RingDeque<net::Packet> queue_;
-  std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash> per_flow_bytes_;
+  using ByteMap = std::unordered_map<net::FlowKey, std::int64_t, net::FlowKeyHash>;
+  ByteMap per_flow_bytes_;
+  util::NodeFreelist<ByteMap> spare_bytes_;
 };
 
 /// fq-like fair queueing with EDT pacing.
@@ -100,6 +102,8 @@ class FqQdisc final : public Qdisc {
   Bytes flow_backlog(const net::FlowKey& flow) const override;
 
   std::size_t active_flows() const { return flows_.size(); }
+  /// Drained flows' queues kept for reuse (at most the peak active_flows()).
+  std::size_t spare_flows() const { return spare_.parked(); }
 
  private:
   struct FlowQueue {
@@ -114,8 +118,9 @@ class FqQdisc final : public Qdisc {
   Config cfg_;
   Bytes backlog_;
   std::uint64_t dropped_ = 0;
-  FlowMap flows_;
-  std::list<net::FlowKey> round_;  // active flows, DRR order
+  FlowMap flows_;                      // active (backlogged) flows only
+  util::NodeFreelist<FlowMap> spare_;  // drained flows, ring capacity kept
+  util::RingDeque<net::FlowKey> round_;  // active flows, DRR order
 };
 
 }  // namespace stob::stack

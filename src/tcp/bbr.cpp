@@ -19,9 +19,8 @@ BbrCc::BbrCc(Bytes mss, Bytes initial_window)
       initial_cwnd_(initial_window.count() > 0 ? initial_window.count() : 10 * mss_) {}
 
 DataRate BbrCc::btlbw() const {
-  std::int64_t best = 0;
-  for (const auto& [t, bps] : bw_samples_) best = std::max(best, bps);
-  return DataRate(best);
+  // Zero when the window holds no positive sample.
+  return DataRate(bw_samples_.empty() ? 0 : std::max<std::int64_t>(0, bw_samples_.front().bps));
 }
 
 Bytes BbrCc::bdp(double gain) const {
@@ -38,9 +37,11 @@ void BbrCc::update_btlbw(const AckEvent& ev) {
   // safe to include, and dropping them entirely would starve the model on
   // request/response workloads.
   if (!ev.delivery_rate.is_zero()) {
-    bw_samples_.emplace_back(ev.now, ev.delivery_rate.bits_per_sec());
+    const std::int64_t bps = ev.delivery_rate.bits_per_sec();
+    while (!bw_samples_.empty() && bw_samples_.back().bps <= bps) bw_samples_.pop_back();
+    bw_samples_.push_back({ev.now, bps});
   }
-  while (!bw_samples_.empty() && ev.now - bw_samples_.front().first > kBwWindow) {
+  while (!bw_samples_.empty() && ev.now - bw_samples_.front().at > kBwWindow) {
     bw_samples_.pop_front();
   }
 }
@@ -131,9 +132,10 @@ void BbrCc::on_rto(TimePoint /*now*/) {
 
 Bytes BbrCc::cwnd() const {
   switch (mode_) {
-    case Mode::Startup:
-      return bdp(kStartupGain) < Bytes(initial_cwnd_) ? Bytes(initial_cwnd_)
-                                                      : bdp(kStartupGain);
+    case Mode::Startup: {
+      const Bytes startup = bdp(kStartupGain);
+      return startup < Bytes(initial_cwnd_) ? Bytes(initial_cwnd_) : startup;
+    }
     case Mode::Drain:
       return bdp(kCwndGain);
     case Mode::ProbeBw:

@@ -7,9 +7,10 @@
 // Stob's departure-time control could confuse (§5.1).
 #pragma once
 
-#include <deque>
+#include <cstdint>
 
 #include "tcp/congestion.hpp"
+#include "util/ring_deque.hpp"
 
 namespace stob::tcp {
 
@@ -40,8 +41,18 @@ class BbrCc final : public CongestionControl {
   std::int64_t mss_;
   std::int64_t initial_cwnd_;
 
+  struct BwSample {
+    TimePoint at;
+    std::int64_t bps;
+  };
+
   Mode mode_ = Mode::Startup;
-  std::deque<std::pair<TimePoint, std::int64_t>> bw_samples_;  // (time, bps)
+  // Monotonic max-deque over the kBwWindow of delivery-rate samples: times
+  // ascend and rates strictly descend from front to back, so the front is
+  // the windowed max. A sample is dropped once a later one at least as
+  // fast arrives (it can never be the max again), so the deque holds at
+  // most the window's samples and each is pushed and popped once.
+  util::RingDeque<BwSample> bw_samples_;
   Duration min_rtt_ = Duration::seconds(10);
   TimePoint min_rtt_stamp_ = TimePoint::zero();
   Duration srtt_;

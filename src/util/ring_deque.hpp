@@ -8,8 +8,9 @@
 // circular array served by the thread-local buffer pool, so steady-state
 // queue traffic costs an index increment and a move.
 //
-// Only the FIFO surface the queues need: push_back/emplace_back, front,
-// pop_front, size/empty, clear. Move-only (the queues own their packets).
+// Only the surface the queues need: push_back/emplace_back, front,
+// pop_front, size/empty, clear, plus back/pop_back for monotonic deques
+// (BBR's windowed max filter). Move-only (the queues own their packets).
 #pragma once
 
 #include <cassert>
@@ -62,6 +63,15 @@ class RingDeque {
     return buf_[head_];
   }
 
+  T& back() {
+    assert(size_ > 0);
+    return buf_[(head_ + size_ - 1) & (cap_ - 1)];
+  }
+  const T& back() const {
+    assert(size_ > 0);
+    return buf_[(head_ + size_ - 1) & (cap_ - 1)];
+  }
+
   void push_back(T&& v) { emplace_back(std::move(v)); }
   void push_back(const T& v) { emplace_back(v); }
 
@@ -78,6 +88,12 @@ class RingDeque {
     assert(size_ > 0);
     buf_[head_].~T();
     head_ = (head_ + 1) & (cap_ - 1);
+    --size_;
+  }
+
+  void pop_back() {
+    assert(size_ > 0);
+    back().~T();
     --size_;
   }
 

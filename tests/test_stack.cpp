@@ -2,6 +2,8 @@
 // (TSO split, ring backpressure, completions), CPU model, host demux.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "net/path.hpp"
@@ -189,6 +191,64 @@ TEST(FqQdisc, BacklogAndActiveFlows) {
   EXPECT_EQ(q.backlog().count(), 0);
 }
 
+// A drained flow's queue is recycled for the next flow that becomes active.
+// It must start exactly as a fresh queue did: zero deficit, joining the
+// back of the round. Three flows with quantum-straddling sizes and paced
+// heads drain and refill, both between cycles and mid-drain (a flow that
+// just drained gets one more packet while the others are still backlogged).
+// The dequeue order is pinned to the one recorded before queues were
+// recycled, so a carried-over deficit or round slot changes it.
+TEST(FqQdisc, ReactivatedFlowsDequeueAsFreshOnes) {
+  FqQdisc q;  // quantum 3028 bytes
+  const net::FlowKey flows[3] = {{1, 2, 1000, 80, net::Proto::Tcp},
+                                 {1, 2, 1001, 80, net::Proto::Tcp},
+                                 {1, 2, 1002, 80, net::Proto::Tcp}};
+  std::unordered_map<std::uint64_t, int> tag_of;  // packet id -> enqueue index
+  std::vector<int> order;
+  TimePoint now = TimePoint::zero();
+  auto enqueue = [&](int f, std::int64_t payload, Duration pace) {
+    auto p = make_packet(payload, flows[f], pace.ns() > 0 ? now + pace : TimePoint::zero());
+    p.enqueued_at = now;
+    const int tag = static_cast<int>(tag_of.size());
+    tag_of[p.id] = tag;
+    q.enqueue(std::move(p));
+  };
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    for (int k = 0; k < 4; ++k) {
+      for (int f = 0; f < 3; ++f) {
+        if ((cycle + f) % 3 == 2 && k >= 2) continue;  // uneven bursts
+        // 400..3200 B payloads: 466..3266 B on the wire around the quantum.
+        const std::int64_t payload = 400 + ((cycle * 7 + f * 5 + k * 3) % 9) * 350;
+        const bool paced = f == cycle % 3;
+        enqueue(f, payload, paced ? Duration::micros(10 * (k + 1)) : Duration(0));
+      }
+    }
+    int refills = 3;
+    for (int guard = 0; !q.empty() && guard < 1000; ++guard) {
+      std::optional<net::Packet> p = q.dequeue(now);
+      if (!p) {
+        now = q.next_ready(now);
+        continue;
+      }
+      order.push_back(tag_of.at(p->id));
+      const int f = static_cast<int>(p->flow.src_port - 1000);
+      if (q.flow_backlog(p->flow).count() == 0 && refills > 0 && !q.empty()) {
+        --refills;
+        enqueue(f, 2900 + 100 * refills, Duration::micros(3 * refills));
+      }
+    }
+    ASSERT_TRUE(q.empty()) << "cycle " << cycle;
+    EXPECT_EQ(q.active_flows(), 0u);
+    EXPECT_LE(q.spare_flows(), 3u);
+    now += Duration::micros(100);
+  }
+  const std::vector<int> recorded = {
+      1,  2,  5,  4,  7,  9,  11, 12, 10, 0,  3,  6,  8,  13, 16, 19, 15, 18,
+      21, 20, 22, 24, 25, 23, 14, 17, 26, 27, 30, 29, 32, 34, 37, 38, 36, 28,
+      31, 33, 35, 41, 40, 43, 44, 46, 48, 50, 51, 49, 39, 42, 45, 47};
+  EXPECT_EQ(order, recorded);
+}
+
 // ------------------------------------------------- capacity guard parity
 
 // Both qdiscs share admit-one-into-empty-queue capacity semantics: a packet
@@ -333,6 +393,49 @@ TEST(Nic, FlowUnsentAccounting) {
   EXPECT_EQ(f.nic.flow_unsent(flow).count(), 1000 + net::kEthIpTcpHeader);
   f.sim.run();
   EXPECT_EQ(f.nic.flow_unsent(flow).count(), 0);
+}
+
+// Per-flow ring accounting with recycled entries: a flow has unsent bytes
+// until its last wire packet completes and none from then on, over several
+// idle/busy cycles of three flows sending TSO super-segments and single
+// packets.
+TEST(Nic, FlowUnsentReachesZeroAtLastCompletion) {
+  sim::Simulator sim;
+  net::Pipe pipe(sim, {DataRate::gbps(1), Duration::micros(5), Bytes(0), 0.0});
+  Nic nic(sim, std::make_unique<FqQdisc>(), Nic::Config{Bytes(8000)});
+  nic.attach_egress(pipe);
+  pipe.set_sink([](net::Packet) {});
+  const net::FlowKey flows[3] = {{1, 2, 1000, 80, net::Proto::Tcp},
+                                 {1, 2, 1001, 80, net::Proto::Tcp},
+                                 {1, 2, 1002, 80, net::Proto::Tcp}};
+  std::int64_t handed[3] = {0, 0, 0};
+  std::int64_t completed[3] = {0, 0, 0};
+  int drained = 0;
+  for (int f = 0; f < 3; ++f) {
+    nic.set_completion_handler(flows[f], [&, f](Bytes b) {
+      completed[f] += b.count();
+      if (completed[f] == handed[f]) {
+        EXPECT_EQ(nic.flow_unsent(flows[f]).count(), 0);
+        ++drained;
+      } else {
+        EXPECT_GT(nic.flow_unsent(flows[f]).count(), 0);
+      }
+    });
+  }
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (int f = 0; f < 3; ++f) {
+      for (int k = 0; k <= f; ++k) {
+        auto p = make_packet(f == 1 ? 1000 : 4 * 1448, flows[f]);
+        if (f != 1) p.tso_mss = 1448;
+        // Wire bytes: one header per MSS packet after the TSO split.
+        handed[f] += f == 1 ? 1000 + net::kEthIpTcpHeader : 4 * (1448 + net::kEthIpTcpHeader);
+        nic.transmit(std::move(p));
+      }
+    }
+    sim.run();
+    for (int f = 0; f < 3; ++f) EXPECT_EQ(nic.flow_unsent(flows[f]).count(), 0) << "cycle " << cycle;
+  }
+  EXPECT_EQ(drained, 9);  // each flow drained once per cycle
 }
 
 TEST(Nic, RingBackpressureBoundsInflight) {

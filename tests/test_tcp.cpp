@@ -4,9 +4,12 @@
 // for a grid of network conditions and CCAs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "stack/host_pair.hpp"
 #include "tcp/bbr.hpp"
@@ -15,6 +18,7 @@
 #include "tcp/reno.hpp"
 #include "tcp/rtt.hpp"
 #include "tcp/tcp_connection.hpp"
+#include "util/rng.hpp"
 
 namespace stob::tcp {
 namespace {
@@ -466,6 +470,190 @@ TEST(BbrCc, RtoWithoutModelRestartsStartup) {
   cc.on_rto(TimePoint(1));
   EXPECT_TRUE(cc.btlbw().is_zero());
   EXPECT_EQ(cc.mode(), BbrCc::Mode::Startup);
+}
+
+// Reference BBR for the parity test below: the same state machine as
+// BbrCc, but the bandwidth filter keeps every sample in a plain vector and
+// scans the live window for its max on each query.
+class ScanBbr {
+ public:
+  explicit ScanBbr(std::int64_t mss) : mss_(mss), initial_cwnd_(10 * mss) {}
+
+  DataRate btlbw() const {
+    std::int64_t best = 0;
+    for (std::size_t i = live_from_; i < samples_.size(); ++i) best = std::max(best, samples_[i].second);
+    return DataRate(best);
+  }
+
+  void on_ack(const AckEvent& ev) {
+    srtt_ = ev.srtt;
+    if (!ev.delivery_rate.is_zero()) samples_.emplace_back(ev.now, ev.delivery_rate.bits_per_sec());
+    while (live_from_ < samples_.size() &&
+           ev.now - samples_[live_from_].first > Duration::seconds(10)) {
+      ++live_from_;
+    }
+    if (ev.rtt_sample.ns() > 0 &&
+        (ev.rtt_sample < min_rtt_ || ev.now - min_rtt_stamp_ > Duration::seconds(10))) {
+      min_rtt_ = ev.rtt_sample;
+      min_rtt_stamp_ = ev.now;
+    }
+    switch (mode_) {
+      case BbrCc::Mode::Startup:
+        if (ev.now - round_start_ >= std::max(srtt_, Duration::millis(1))) {
+          round_start_ = ev.now;
+          const std::int64_t bw = btlbw().bits_per_sec();
+          if (bw > full_bw_ + full_bw_ / 4) {
+            full_bw_ = bw;
+            full_bw_count_ = 0;
+          } else if (full_bw_ > 0 && ++full_bw_count_ >= 3) {
+            mode_ = BbrCc::Mode::Drain;
+          }
+        }
+        break;
+      case BbrCc::Mode::Drain:
+        if (ev.inflight <= bdp(1.0)) enter_probe_bw(ev.now, 0);
+        break;
+      case BbrCc::Mode::ProbeBw:
+        if (ev.now - cycle_stamp_ >= std::max(min_rtt_, Duration::millis(1))) {
+          enter_probe_bw(ev.now, (cycle_index_ + 1) % 8);
+        }
+        if (ev.now - min_rtt_stamp_ > Duration::seconds(10)) {
+          mode_ = BbrCc::Mode::ProbeRtt;
+          probe_rtt_done_ = ev.now + Duration::millis(200);
+        }
+        break;
+      case BbrCc::Mode::ProbeRtt:
+        if (ev.now >= probe_rtt_done_) {
+          min_rtt_stamp_ = ev.now;
+          enter_probe_bw(ev.now, 0);
+        }
+        break;
+    }
+  }
+
+  void on_rto() {
+    if (btlbw().is_zero()) {
+      full_bw_ = 0;
+      full_bw_count_ = 0;
+      mode_ = BbrCc::Mode::Startup;
+      return;
+    }
+    mode_ = BbrCc::Mode::ProbeBw;
+    cycle_index_ = 2;
+  }
+
+  Bytes cwnd() const {
+    switch (mode_) {
+      case BbrCc::Mode::Startup: return std::max(bdp(2.885), Bytes(initial_cwnd_));
+      case BbrCc::Mode::Drain:
+      case BbrCc::Mode::ProbeBw: return bdp(2.0);
+      case BbrCc::Mode::ProbeRtt: return Bytes(4 * mss_);
+    }
+    return Bytes(initial_cwnd_);
+  }
+
+  DataRate pacing_rate() const {
+    const DataRate bw = btlbw();
+    if (bw.is_zero()) {
+      if (srtt_.ns() <= 0) return DataRate(0);
+      return DataRate::from(Bytes(initial_cwnd_), srtt_) * 2.885;
+    }
+    constexpr double kProbeGains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+    switch (mode_) {
+      case BbrCc::Mode::Startup: return bw * 2.885;
+      case BbrCc::Mode::Drain: return bw * (1.0 / 2.885);
+      case BbrCc::Mode::ProbeBw: return bw * kProbeGains[cycle_index_];
+      case BbrCc::Mode::ProbeRtt: return bw * 1.0;
+    }
+    return bw;
+  }
+
+  BbrCc::Mode mode() const { return mode_; }
+
+ private:
+  Bytes bdp(double gain) const {
+    const DataRate bw = btlbw();
+    if (bw.is_zero() || min_rtt_ >= Duration::seconds(10)) return Bytes(initial_cwnd_);
+    const double bytes = bw.gbps_f() * 1e9 / 8.0 * min_rtt_.sec() * gain;
+    return Bytes(std::max<std::int64_t>(static_cast<std::int64_t>(bytes), 4 * mss_));
+  }
+
+  void enter_probe_bw(TimePoint now, int index) {
+    mode_ = BbrCc::Mode::ProbeBw;
+    cycle_index_ = index;
+    cycle_stamp_ = now;
+  }
+
+  std::int64_t mss_;
+  std::int64_t initial_cwnd_;
+  BbrCc::Mode mode_ = BbrCc::Mode::Startup;
+  std::vector<std::pair<TimePoint, std::int64_t>> samples_;  // every sample, in time order
+  std::size_t live_from_ = 0;  // first sample inside the window
+  Duration min_rtt_ = Duration::seconds(10);
+  TimePoint min_rtt_stamp_ = TimePoint::zero();
+  Duration srtt_;
+  std::int64_t full_bw_ = 0;
+  int full_bw_count_ = 0;
+  TimePoint round_start_ = TimePoint::zero();
+  int cycle_index_ = 0;
+  TimePoint cycle_stamp_ = TimePoint::zero();
+  TimePoint probe_rtt_done_ = TimePoint::zero();
+};
+
+// The monotonic max filter must reproduce the windowed max of every sample
+// exactly, and with it every cwnd/pacing decision. The stream mixes rate
+// ties, zero-rate ACKs, a long strictly decreasing run (every sample stays
+// live in the deque), idle gaps that expire the whole window, and RTOs.
+TEST(BbrCc, MaxFilterMatchesFullWindowScan) {
+  BbrCc cc(Bytes(1448));
+  ScanBbr ref(1448);
+  Rng rng(20251020);
+  TimePoint now = TimePoint::zero();
+  std::int64_t descending = 0;  // > 0: inside a strictly decreasing run
+  int window_crossings = 0;
+  std::int64_t longest_run = 0;
+  std::set<BbrCc::Mode> modes_seen;
+  for (int i = 0; i < 50'000; ++i) {
+    const double roll = rng.uniform();
+    if (roll < 0.0002) {
+      now += Duration::millis(rng.uniform_int(10'000, 14'000));  // idle past the window
+      ++window_crossings;
+    } else if (roll > 0.05) {  // else a tie in time
+      now += Duration::micros(rng.uniform_int(1, 6'000));
+    }
+    if (descending == 0 && rng.uniform() < 0.0002) descending = 3'000;
+    AckEvent ev;
+    ev.now = now;
+    ev.newly_acked = Bytes(rng.uniform_int(0, 64'000));
+    ev.rtt_sample = rng.uniform() < 0.1 ? Duration::nanos(0)
+                                        : Duration::micros(rng.uniform_int(200, 40'000));
+    ev.srtt = Duration::micros(rng.uniform_int(0, 30'000));
+    ev.inflight = Bytes(rng.uniform_int(0, 4'000'000));
+    if (descending > 0) {
+      ev.delivery_rate = DataRate::mbps(1) * static_cast<double>(descending);
+      longest_run = std::max(longest_run, 3'000 - --descending);
+    } else if (rng.uniform() < 0.15) {
+      ev.delivery_rate = DataRate(0);
+    } else {
+      // Few distinct values, so equal rates recur inside the window.
+      ev.delivery_rate = DataRate::mbps(100 * rng.uniform_int(1, 20));
+    }
+    cc.on_ack(ev);
+    ref.on_ack(ev);
+    if (rng.uniform() < 0.002) {
+      cc.on_rto(now);
+      ref.on_rto();
+    }
+    ASSERT_EQ(cc.btlbw().bits_per_sec(), ref.btlbw().bits_per_sec()) << "ack " << i;
+    ASSERT_EQ(cc.cwnd().count(), ref.cwnd().count()) << "ack " << i;
+    ASSERT_EQ(cc.pacing_rate().bits_per_sec(), ref.pacing_rate().bits_per_sec()) << "ack " << i;
+    ASSERT_EQ(cc.mode(), ref.mode()) << "ack " << i;
+    modes_seen.insert(cc.mode());
+  }
+  // The stream really covered the cases it is meant to.
+  EXPECT_GE(window_crossings, 5);
+  EXPECT_EQ(longest_run, 3'000);
+  EXPECT_EQ(modes_seen.size(), 4u);
 }
 
 TEST(CongestionFactory, KnownNamesAndUnknownThrows) {
